@@ -22,6 +22,11 @@
 //! combine with [`ConstraintDb::merge`], which resolves conflicts
 //! deterministically (tightest constraint wins) and records every decision
 //! in a [`MergeReport`].
+//!
+//! [`ConstraintDb::params`] is a sealed [`ParamTable`] holding the only
+//! name index in the crate, so lookups, the incremental fold and loading
+//! are hashed, and a [`CheckSession`](crate::CheckSession) reads the
+//! table instead of building an index — session construction is O(1).
 
 use spex_conf::Dialect;
 use spex_core::constraint::{
@@ -29,7 +34,9 @@ use spex_core::constraint::{
     EnumValue, NumericRange, RangeSegment, SemType, SizeUnit, TimeUnit, ValueRel,
 };
 use spex_lang::diag::Span;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,28 +58,168 @@ pub struct ParamEntry {
     pub constraints: Vec<Constraint>,
     /// Inference provenance, parallel to `constraints`: the workspace
     /// module each constraint was inferred from, or empty for hand-built
-    /// and migrated-`v1` constraints. Maintained by the
-    /// [`ConstraintDb::add`]-family methods; keep the two vectors the same
-    /// length if constructing entries by hand.
+    /// and migrated-`v1` constraints. Every entry of a [`ParamTable`] keeps
+    /// the two vectors the same length.
     pub provenance: Vec<String>,
 }
 
 impl ParamEntry {
-    /// Iterates `(constraint, provenance-module)` pairs. A hand-built
-    /// entry whose `provenance` is shorter than `constraints` reports the
-    /// missing tail as empty provenance.
+    /// Iterates `(constraint, provenance-module)` pairs.
     pub fn with_provenance(&self) -> impl Iterator<Item = (&Constraint, &str)> {
         self.constraints
             .iter()
-            .enumerate()
-            .map(|(i, c)| (c, self.provenance.get(i).map(String::as_str).unwrap_or("")))
+            .zip(self.provenance.iter().map(String::as_str))
+    }
+}
+
+/// A database's parameter entries plus the only name index over them:
+/// exact name → slot, ASCII-lowered name → first slot, and provenance
+/// module → the slots holding its constraints. The table derefs to
+/// `&[ParamEntry]` but has no `DerefMut` and no public constructor, so
+/// only [`ConstraintDb`]'s `&mut self` methods change it and the index
+/// can never go stale.
+///
+/// ```compile_fail
+/// use spex_check::{ConstraintDb, ParamEntry};
+///
+/// let mut db = ConstraintDb::new("demo", spex_conf::Dialect::KeyValue);
+/// db.params.push(ParamEntry::default()); // read-only from outside
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParamTable {
+    /// The entries, in first-seen order.
+    entries: Vec<ParamEntry>,
+    by_name: HashMap<String, usize>,
+    by_lower: HashMap<String, usize>,
+    /// The ASCII-lowered name of each slot.
+    lowered: Vec<String>,
+    owned: HashMap<String, BTreeSet<usize>>,
+}
+
+impl ParamTable {
+    /// Indexes `entries` (distinct names, parallel provenance) from
+    /// scratch.
+    fn indexed(entries: Vec<ParamEntry>) -> ParamTable {
+        let mut table = ParamTable {
+            entries: Vec::new(),
+            by_name: HashMap::new(),
+            by_lower: HashMap::new(),
+            lowered: Vec::new(),
+            owned: HashMap::new(),
+        };
+        for e in entries {
+            let i = table.intern(&e.name);
+            for (c, module) in e.constraints.into_iter().zip(&e.provenance) {
+                table.append(i, c, module);
+            }
+        }
+        table
     }
 
-    /// Restores the `provenance.len() == constraints.len()` invariant for
-    /// entries built by hand (missing slots become empty provenance).
-    fn sync_provenance(&mut self) {
-        self.provenance
-            .resize(self.constraints.len(), String::new());
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
+    /// The slot of `name`, appending an empty entry if it is new.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(i) = self.slot(name) {
+            return i;
+        }
+        let i = self.entries.len();
+        let lower = name.to_ascii_lowercase();
+        self.by_lower.entry(lower.clone()).or_insert(i);
+        self.lowered.push(lower);
+        self.by_name.insert(name.to_string(), i);
+        self.entries.push(ParamEntry {
+            name: name.to_string(),
+            ..ParamEntry::default()
+        });
+        i
+    }
+
+    /// Appends one constraint, inferred from `module`, to slot `i`.
+    fn append(&mut self, i: usize, c: Constraint, module: &str) {
+        self.own(module, i);
+        self.entries[i].constraints.push(c);
+        self.entries[i].provenance.push(module.to_string());
+    }
+
+    /// Replaces constraint `k` of slot `i` with one inferred from
+    /// `module`.
+    fn replace(&mut self, i: usize, k: usize, c: Constraint, module: &str) {
+        let entry = &mut self.entries[i];
+        entry.constraints[k] = c;
+        let old = std::mem::replace(&mut entry.provenance[k], module.to_string());
+        if !entry.provenance.contains(&old) {
+            self.disown(&old, i);
+        }
+        self.own(module, i);
+    }
+
+    /// Drops slot `i`'s constraints inferred from `module`, returning how
+    /// many there were.
+    fn remove_from(&mut self, i: usize, module: &str) -> usize {
+        let entry = &mut self.entries[i];
+        let before = entry.constraints.len();
+        let mut keep = entry.provenance.iter().map(|m| m != module);
+        entry.constraints.retain(|_| keep.next() == Some(true));
+        entry.provenance.retain(|m| m != module);
+        let removed = before - entry.constraints.len();
+        if removed > 0 {
+            self.disown(module, i);
+        }
+        removed
+    }
+
+    fn own(&mut self, module: &str, i: usize) {
+        if let Some(slots) = self.owned.get_mut(module) {
+            slots.insert(i);
+        } else {
+            self.owned.insert(module.to_string(), BTreeSet::from([i]));
+        }
+    }
+
+    fn disown(&mut self, module: &str, i: usize) {
+        if let Some(slots) = self.owned.get_mut(module) {
+            slots.remove(&i);
+            if slots.is_empty() {
+                self.owned.remove(module);
+            }
+        }
+    }
+
+    /// Drops the entry named `name` and re-slots the table (O(db), paid
+    /// only when an entry actually goes).
+    fn remove(&mut self, name: &str) -> bool {
+        let Some(i) = self.slot(name) else {
+            return false;
+        };
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.remove(i);
+        *self = ParamTable::indexed(entries);
+        true
+    }
+
+    /// The ASCII-lowered name of every slot, in entry order.
+    pub(crate) fn lowered(&self) -> &[String] {
+        &self.lowered
+    }
+}
+
+impl Deref for ParamTable {
+    type Target = [ParamEntry];
+
+    fn deref(&self) -> &[ParamEntry] {
+        &self.entries
+    }
+}
+
+impl<'a> IntoIterator for &'a ParamTable {
+    type Item = &'a ParamEntry;
+    type IntoIter = std::slice::Iter<'a, ParamEntry>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter()
     }
 }
 
@@ -83,8 +230,8 @@ pub struct ConstraintDb {
     pub system: String,
     /// The system's config-file dialect.
     pub dialect: Dialect,
-    /// Per-parameter entries, in first-seen order.
-    pub params: Vec<ParamEntry>,
+    /// Per-parameter entries, in first-seen order, with their index.
+    pub params: ParamTable,
     /// How many times this database lineage has been cloned (shared by
     /// every clone; see [`ConstraintDb::clone_count`]).
     clones: Arc<AtomicUsize>,
@@ -137,7 +284,7 @@ impl ConstraintDb {
         ConstraintDb {
             system: system.into(),
             dialect,
-            params: Vec::new(),
+            params: ParamTable::indexed(Vec::new()),
             clones: Arc::new(AtomicUsize::new(0)),
         }
     }
@@ -168,30 +315,9 @@ impl ConstraintDb {
         db
     }
 
-    /// Builds a database from a flat constraint list.
-    pub fn from_constraints(
-        system: impl Into<String>,
-        dialect: Dialect,
-        constraints: &[Constraint],
-    ) -> ConstraintDb {
-        let mut db = ConstraintDb::new(system, dialect);
-        for c in constraints {
-            db.add(c.clone());
-        }
-        db
-    }
-
     /// Registers a parameter name without constraints (a legal key).
-    pub fn note_param(&mut self, name: &str) -> &mut ParamEntry {
-        if let Some(i) = self.params.iter().position(|p| p.name == name) {
-            return &mut self.params[i];
-        }
-        self.params.push(ParamEntry {
-            name: name.to_string(),
-            constraints: Vec::new(),
-            provenance: Vec::new(),
-        });
-        self.params.last_mut().unwrap()
+    pub fn note_param(&mut self, name: &str) {
+        self.params.intern(name);
     }
 
     /// Registers many legal parameter names.
@@ -209,25 +335,18 @@ impl ConstraintDb {
     /// Adds one constraint under its parameter, recording the workspace
     /// module it was inferred from.
     pub fn add_from(&mut self, c: Constraint, module: &str) {
-        let name = c.param.clone();
-        let entry = self.note_param(&name);
-        entry.constraints.push(c);
-        entry.provenance.push(module.to_string());
+        let i = self.params.intern(&c.param);
+        self.params.append(i, c, module);
     }
 
     /// Removes every constraint of `param` that was inferred from
     /// `module`, returning how many were dropped. The parameter entry
     /// itself stays (the name remains a legal key).
     pub fn remove_source_param(&mut self, module: &str, param: &str) -> usize {
-        let Some(entry) = self.params.iter_mut().find(|p| p.name == param) else {
-            return 0;
-        };
-        entry.sync_provenance();
-        let before = entry.constraints.len();
-        let mut keep = entry.provenance.iter().map(|m| m != module);
-        entry.constraints.retain(|_| keep.next().unwrap_or(true));
-        entry.provenance.retain(|m| m != module);
-        before - entry.constraints.len()
+        match self.params.slot(param) {
+            Some(i) => self.params.remove_from(i, module),
+            None => 0,
+        }
     }
 
     /// Replaces `param`'s constraints from `module` with a fresh list
@@ -243,43 +362,43 @@ impl ConstraintDb {
     ) -> (usize, usize) {
         let removed = self.remove_source_param(module, param);
         let added = fresh.len();
-        let entry = self.note_param(param);
+        let i = self.params.intern(param);
         for c in fresh {
-            entry.constraints.push(c);
-            entry.provenance.push(module.to_string());
+            self.params.append(i, c, module);
         }
         (removed, added)
     }
 
     /// Names of parameters holding at least one constraint inferred from
-    /// `module` (used to garbage-collect a module's stale contribution,
-    /// e.g. after a workspace resumes from a persisted database).
+    /// `module`, in entry order (used to garbage-collect a module's stale
+    /// contribution, e.g. after a workspace resumes from a persisted
+    /// database). O(params the module owns).
     pub fn params_from_source(&self, module: &str) -> Vec<String> {
         self.params
-            .iter()
-            .filter(|p| p.with_provenance().any(|(_, m)| m == module))
-            .map(|p| p.name.clone())
+            .owned
+            .get(module)
+            .into_iter()
+            .flatten()
+            .map(|&i| self.params[i].name.clone())
             .collect()
     }
 
     /// Drops a parameter entry entirely (name and constraints). Returns
     /// whether it existed.
     pub fn remove_param(&mut self, name: &str) -> bool {
-        let before = self.params.len();
-        self.params.retain(|p| p.name != name);
-        self.params.len() != before
+        self.params.remove(name)
     }
 
     /// Entry lookup by exact name.
     pub fn param(&self, name: &str) -> Option<&ParamEntry> {
-        self.params.iter().find(|p| p.name == name)
+        self.params.slot(name).map(|i| &self.params[i])
     }
 
-    /// Entry lookup ignoring ASCII case (for "wrong case" suggestions).
+    /// Entry lookup ignoring ASCII case (for "wrong case" suggestions):
+    /// the first entry, in entry order, whose name matches.
     pub fn param_ignore_case(&self, name: &str) -> Option<&ParamEntry> {
-        self.params
-            .iter()
-            .find(|p| p.name.eq_ignore_ascii_case(name))
+        let lower = name.to_ascii_lowercase();
+        self.params.by_lower.get(&lower).map(|&i| &self.params[i])
     }
 
     /// All known parameter names, in entry order.
@@ -349,20 +468,18 @@ impl ConstraintDb {
     /// After this, the in-memory database equals what `load(save(self))`
     /// returns.
     pub fn canonicalize(&mut self) {
-        self.params.sort_by(|a, b| a.name.cmp(&b.name));
-        for p in &mut self.params {
-            p.sync_provenance();
+        let mut entries = std::mem::take(&mut self.params.entries);
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        for p in &mut entries {
             let mut rows: Vec<(Constraint, String)> = p
                 .constraints
                 .drain(..)
                 .zip(p.provenance.drain(..))
                 .collect();
             rows.sort_by_cached_key(|(c, m)| canonical_key(c, m));
-            for (c, m) in rows {
-                p.constraints.push(c);
-                p.provenance.push(m);
-            }
+            (p.constraints, p.provenance) = rows.into_iter().unzip();
         }
+        self.params = ParamTable::indexed(entries);
     }
 
     /// Parses the text format back into a database. Both `v1` and `v2`
@@ -397,19 +514,15 @@ impl ConstraintDb {
             .ok_or_else(|| expect(n2, "expected `dialect key-value|directive|space`"))?;
 
         let mut db = ConstraintDb::new(system, dialect);
-        let mut current: Option<String> = None;
+        let mut current: Option<usize> = None;
         for (n, line) in lines {
             if line.is_empty() {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("param ") {
-                let name = unesc(rest);
-                db.note_param(&name);
-                current = Some(name);
+                current = Some(db.params.intern(&unesc(rest)));
             } else if let Some(rest) = line.strip_prefix("c ") {
-                let param = current
-                    .clone()
-                    .ok_or_else(|| expect(n, "constraint before any `param`"))?;
+                let slot = current.ok_or_else(|| expect(n, "constraint before any `param`"))?;
                 let mut fields = rest.split(" | ");
                 let kind_part = fields.next().expect("split yields at least one field");
                 let origin_part = fields
@@ -441,15 +554,13 @@ impl ConstraintDb {
                     toks[1].parse().map_err(|_| expect(n, "bad origin line"))?,
                     toks[2].parse().map_err(|_| expect(n, "bad origin col"))?,
                 );
-                db.add_from(
-                    Constraint {
-                        param,
-                        kind,
-                        in_function: unesc(toks[0]),
-                        span,
-                    },
-                    &module,
-                );
+                let c = Constraint {
+                    param: db.params[slot].name.clone(),
+                    kind,
+                    in_function: unesc(toks[0]),
+                    span,
+                };
+                db.params.append(slot, c, &module);
             } else {
                 return Err(expect(n, "unrecognised line"));
             }
@@ -530,8 +641,8 @@ impl ConstraintDb {
     }
 
     fn merge_one(&mut self, c: &Constraint, module: &str, report: &mut MergeReport) {
-        let entry = self.note_param(&c.param);
-        entry.sync_provenance();
+        let slot = self.params.intern(&c.param);
+        let entry = &self.params[slot];
         // Exact duplicate: the incumbent wins outright.
         if entry.constraints.iter().any(|have| have.kind == c.kind) {
             report.deduped += 1;
@@ -556,8 +667,7 @@ impl ConstraintDb {
                 _ => false,
             });
         let Some(i) = rival else {
-            entry.constraints.push(c.clone());
-            entry.provenance.push(module.to_string());
+            self.params.append(slot, c.clone(), module);
             report.added += 1;
             return;
         };
@@ -588,10 +698,7 @@ impl ConstraintDb {
         });
         match resolved {
             ConflictWinner::Incumbent => {}
-            ConflictWinner::Challenger => {
-                entry.constraints[i] = c.clone();
-                entry.provenance[i] = module.to_string();
-            }
+            ConflictWinner::Challenger => self.params.replace(slot, i, c.clone(), module),
             ConflictWinner::Blend(kind) => {
                 let blended = report.conflicts.last_mut().expect("just pushed");
                 blended.kept = Constraint {
@@ -602,7 +709,8 @@ impl ConstraintDb {
                 }
                 .to_string();
                 blended.dropped = c.to_string();
-                entry.constraints[i].kind = kind;
+                // Same slot, same provenance: no index changes.
+                self.params.entries[slot].constraints[i].kind = kind;
             }
         }
     }
@@ -1856,27 +1964,6 @@ mod tests {
         assert!(report.conflicts.is_empty());
         assert_eq!(report.added, 1);
         assert_eq!(a.param("mode").unwrap().constraints.len(), 3);
-    }
-
-    #[test]
-    fn merge_tolerates_hand_built_entries_without_provenance() {
-        // Entries built by struct literal may have an empty provenance
-        // vec; merging into them must neither panic nor misalign.
-        let (c1, _) = range_c("threads", 1, 1000, "");
-        let mut a = ConstraintDb::new("S", Dialect::KeyValue);
-        a.params.push(ParamEntry {
-            name: "threads".into(),
-            constraints: vec![c1],
-            provenance: Vec::new(), // deliberately out of sync
-        });
-        let mut b = ConstraintDb::new("S", Dialect::KeyValue);
-        let (tight, m) = range_c("threads", 1, 16, "shard-b");
-        b.add_from(tight.clone(), &m);
-        let report = a.merge(&b).unwrap();
-        assert_eq!(report.conflicts.len(), 1);
-        let entry = a.param("threads").unwrap();
-        assert_eq!(entry.constraints, vec![tight]);
-        assert_eq!(entry.provenance, vec!["shard-b"]);
     }
 
     #[test]

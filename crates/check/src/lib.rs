@@ -28,8 +28,8 @@
 //!    [`SarifRenderer`]) and mapped to stable exit codes.
 //!
 //! [`Workspace`] ties it together as a long-lived session: incremental
-//! re-inference on edit, a cached `CheckSession` invalidated only when
-//! the database changes, and database merging for sharded analysis.
+//! re-inference on edit, borrowed `CheckSession`s that always see the
+//! current database, and database merging for sharded analysis.
 //! (The pre-0.3 `BatchEngine`/`Checker` wrappers were removed in 0.4;
 //! batch work goes through [`CheckSession::check_texts`] /
 //! [`CheckSession::check_paths`] or the workspace equivalents.)

@@ -1,12 +1,14 @@
 //! The borrowed checking engine: one [`CheckSession`] per constraint
 //! database, no copies, every front-end.
 //!
-//! A `CheckSession<'db>` *borrows* its [`ConstraintDb`] — constructing one
-//! builds a name index but never clones a constraint, so "check on every
-//! edit" costs per-file work only. It is the single implementation behind
+//! A `CheckSession<'db>` *borrows* its [`ConstraintDb`] and answers key
+//! lookups from the database's own name index (the sealed
+//! [`ParamTable`](crate::db::ParamTable)), so constructing one is O(1): no
+//! index is built and no constraint is cloned, and "check on every edit"
+//! costs per-file work only. It is the single implementation behind
 //! [`Workspace::check_text`](crate::Workspace::check_text) and
-//! [`Workspace::check_paths`](crate::Workspace::check_paths) (which cache
-//! a session until the database changes).
+//! [`Workspace::check_paths`](crate::Workspace::check_paths), which build
+//! a fresh session per call.
 //!
 //! Each setting in a file is vetted against every constraint inferred for
 //! its parameter: basic-type conformance, semantic-type plausibility
@@ -58,7 +60,6 @@ use spex_conf::{ConfFile, Entry};
 use spex_core::constraint::{
     BasicType, CmpOp, ConstraintKind, DiagCode, EnumValue, SemType, SizeUnit, TimeUnit,
 };
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -83,44 +84,9 @@ fn absurd_time_bar(unit: TimeUnit) -> (i64, &'static str) {
     }
 }
 
-/// The parameter-name index a session answers lookups from. Owned (no
-/// borrows into the database), so [`Workspace`](crate::Workspace) can
-/// cache one across calls and hand it to each fresh session.
-#[derive(Debug, Default)]
-pub(crate) struct ParamIndex {
-    /// Exact name → position in `db.params`.
-    by_name: HashMap<String, usize>,
-    /// ASCII-lowercased name → first matching position (wrong-case
-    /// suggestions and case-insensitive key mode).
-    by_lower: HashMap<String, usize>,
-    /// ASCII-lowercased name per position (parallel to `db.params`), so
-    /// case-insensitive did-you-mean scans never re-lowercase the db.
-    lowered: Vec<String>,
-}
-
-impl ParamIndex {
-    /// Indexes every parameter of `db` (the only O(db) step of building a
-    /// session; no constraint is copied).
-    pub(crate) fn build(db: &ConstraintDb) -> ParamIndex {
-        let mut index = ParamIndex {
-            by_name: HashMap::with_capacity(db.params.len()),
-            by_lower: HashMap::with_capacity(db.params.len()),
-            lowered: Vec::with_capacity(db.params.len()),
-        };
-        for (i, p) in db.params.iter().enumerate() {
-            index.by_name.entry(p.name.clone()).or_insert(i);
-            let lower = p.name.to_ascii_lowercase();
-            index.by_lower.entry(lower.clone()).or_insert(i);
-            index.lowered.push(lower);
-        }
-        index
-    }
-}
-
 /// The borrowed validation engine for one system (see the module docs).
 pub struct CheckSession<'db> {
     db: &'db ConstraintDb,
-    index: Arc<ParamIndex>,
     env: Option<&'db (dyn Environment + Sync)>,
     threads: usize,
     max_suggest_distance: usize,
@@ -138,15 +104,8 @@ struct Occurrence<'c> {
 impl<'db> CheckSession<'db> {
     /// A session over a borrowed database, with no environment model.
     pub fn new(db: &'db ConstraintDb) -> CheckSession<'db> {
-        CheckSession::with_index(db, Arc::new(ParamIndex::build(db)))
-    }
-
-    /// A session reusing a prebuilt index for `db` (the workspace cache
-    /// path; `index` must have been built from this exact `db` state).
-    pub(crate) fn with_index(db: &'db ConstraintDb, index: Arc<ParamIndex>) -> CheckSession<'db> {
         CheckSession {
             db,
-            index,
             env: None,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -202,23 +161,11 @@ impl<'db> CheckSession<'db> {
     }
 
     fn entry(&self, name: &str) -> Option<&'db ParamEntry> {
-        if let Some(&i) = self.index.by_name.get(name) {
-            return self.db.params.get(i);
+        let exact = self.db.param(name);
+        if exact.is_none() && self.case_insensitive_keys {
+            return self.db.param_ignore_case(name);
         }
-        if self.case_insensitive_keys {
-            if let Some(&i) = self.index.by_lower.get(&name.to_ascii_lowercase()) {
-                return self.db.params.get(i);
-            }
-        }
-        None
-    }
-
-    /// A known parameter differing from `name` only by ASCII case.
-    fn case_twin(&self, name: &str) -> Option<&'db ParamEntry> {
-        self.index
-            .by_lower
-            .get(&name.to_ascii_lowercase())
-            .and_then(|&i| self.db.params.get(i))
+        exact
     }
 
     // -- Single-file checking -------------------------------------------
@@ -353,7 +300,7 @@ impl<'db> CheckSession<'db> {
         // A case twin is only meaningful when keys are case-*sensitive*
         // (in insensitive mode the lookup would have matched it already).
         if !self.case_insensitive_keys {
-            if let Some(entry) = self.case_twin(occ.name) {
+            if let Some(entry) = self.db.param_ignore_case(occ.name) {
                 return d
                     .suggest(format!(
                         "parameter names are case-sensitive here; did you mean \"{}\"?",
@@ -373,11 +320,12 @@ impl<'db> CheckSession<'db> {
             occ.name
         };
         let mut best: Option<(usize, &str)> = None;
+        let lowered_names = self.db.params.lowered();
         for (i, p) in self.db.params.iter().enumerate() {
             // In case-insensitive mode compare against the lowered names
-            // the index already computed at build time.
+            // the table keeps next to the entries.
             let candidate = if self.case_insensitive_keys {
-                self.index.lowered[i].as_str()
+                lowered_names[i].as_str()
             } else {
                 p.name.as_str()
             };

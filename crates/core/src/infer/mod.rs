@@ -223,7 +223,7 @@ impl SpexAnalysis {
 /// CFGs, dominators, use-def chains), the config-mapping extraction
 /// result, and the per-parameter taint slices.
 ///
-/// One cache belongs to one module lineage. [`Spex::analyze_cached`]
+/// One cache belongs to one module lineage. [`Spex::analyze_cached_threaded`]
 /// consults it when given the set of dirty function names and refills it
 /// after every run, so a warm re-analysis after a small edit recomputes
 /// only the artifacts the edit could have touched and reuses the rest by
@@ -425,70 +425,40 @@ fn ids_stable(prev: &Module, next: &Module) -> bool {
 pub struct Spex;
 
 impl Spex {
-    /// Analyzes a module with the standard API registry.
+    /// Analyzes a module with the standard API registry (a full, cold,
+    /// serial analysis).
     pub fn analyze(module: Module, anns: &[Annotation]) -> SpexAnalysis {
-        Self::analyze_with_spec(module, anns, ApiSpec::standard())
+        Self::analyze_cached_threaded(
+            &module,
+            anns,
+            ApiSpec::standard(),
+            None,
+            None,
+            &mut PassCache::default(),
+            1,
+        )
     }
 
-    /// Analyzes a module with a custom API registry (the paper imported
-    /// Storage-A's proprietary APIs this way).
-    pub fn analyze_with_spec(module: Module, anns: &[Annotation], spec: ApiSpec) -> SpexAnalysis {
-        Self::analyze_scoped(&module, anns, spec, None)
-    }
-
-    /// Analyzes a borrowed module, optionally restricted to a change
-    /// [`InferScope`]. The module is never deep-cloned: function bodies
-    /// are promoted to SSA straight off the reference.
+    /// The one analysis entry point: analyzes a borrowed module (never
+    /// deep-cloned) with API registry `spec` (the paper imported
+    /// Storage-A's proprietary APIs this way), fanning the per-parameter
+    /// passes across up to `threads` scoped workers.
     ///
-    /// With `scope = None` this is the classic full analysis. With a scope,
-    /// mapping extraction and taint tracking still run for every parameter
-    /// (they are needed to decide scope membership), but the five
-    /// constraint-inference passes run only for in-scope parameters; the
-    /// rest come back as [`stale`](ParamReport::stale) reports. Incremental
-    /// callers merge the fresh constraints into a persisted database.
-    pub fn analyze_scoped(
-        module: &Module,
-        anns: &[Annotation],
-        spec: ApiSpec,
-        scope: Option<&InferScope>,
-    ) -> SpexAnalysis {
-        Self::analyze_cached(module, anns, spec, scope, None, &mut PassCache::default())
-    }
-
-    /// Like [`analyze_scoped`](Spex::analyze_scoped), but consulting and
-    /// refilling a [`PassCache`] across calls.
+    /// `scope` restricts the five inference passes to in-scope parameters
+    /// (mapping and taint still run for all; the rest come back as
+    /// [`stale`](ParamReport::stale) reports); `None` is a full analysis.
     ///
-    /// `dirty` names every function whose lowered IR changed since the
-    /// cache was last filled — changed, added *and* removed ones (the
-    /// fingerprint diff of the workspace). When it is `Some` and the
-    /// module header (globals, structs, enum constants) is unchanged, the
-    /// prepared module is incrementally rebuilt, the mapping extraction is
-    /// reused unless a dirty function could affect it, and each
-    /// parameter's taint slice is reused unless the edit could reach it —
-    /// see [`PassCounts`] for the hit/miss accounting. With `dirty = None`
-    /// (or a cold cache) everything is recomputed and the cache seeded.
-    pub fn analyze_cached(
-        module: &Module,
-        anns: &[Annotation],
-        spec: ApiSpec,
-        scope: Option<&InferScope>,
-        dirty: Option<&BTreeSet<String>>,
-        cache: &mut PassCache,
-    ) -> SpexAnalysis {
-        Self::analyze_cached_threaded(module, anns, spec, scope, dirty, cache, 1)
-    }
-
-    /// Like [`analyze_cached`](Spex::analyze_cached), with the
-    /// per-parameter inference passes fanned across up to `threads`
-    /// scoped workers (the `spex-pool` primitive).
+    /// `dirty` names every function whose lowered IR changed since `cache`
+    /// was last filled (changed, added *and* removed). With it and an
+    /// unchanged module header, the prepared module, the mapping
+    /// extraction and each taint slice are reused unless the edit could
+    /// reach them — see [`PassCounts`] for the accounting. `None` (or a
+    /// cold cache) recomputes everything and seeds the cache.
     ///
     /// The output is **byte-identical to the serial run** at every thread
-    /// count: results come back in parameter index order, the pass
-    /// counters are derived from the in-scope set rather than loop order,
-    /// and the multi-parameter passes (control dependencies, value
-    /// relationships) stay serial — they scan branch sites once for the
-    /// whole module and their merge order is what makes
-    /// [`SpexAnalysis::reports`] deterministic.
+    /// count: results come back in parameter index order, and the
+    /// multi-parameter passes (control dependencies, value relationships)
+    /// stay serial, so [`SpexAnalysis::reports`] is deterministic.
     #[allow(clippy::too_many_arguments)]
     pub fn analyze_cached_threaded(
         module: &Module,

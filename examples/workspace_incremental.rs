@@ -102,15 +102,15 @@ fn main() {
         if cache_ok { "OK" } else { "FAILED" }
     );
 
-    // The same config is now caught before deployment. Checking runs on
-    // the workspace's cached borrowed session: the database was not
-    // cloned for this (or any) check, and the cache was rebuilt exactly
-    // once per release's reanalyze.
+    // The same config is now caught before deployment. Checking runs on a
+    // borrowed session that reads the database's own index: the database
+    // was not cloned for this (or any) check, and no session index was
+    // ever built.
     for d in ws.check_text(conf) {
         println!("  {d}");
     }
     println!(
-        "  (db clones during checking: {}; session index builds: {})",
+        "  (db clones during checking: {}; session index rebuilds: {})",
         ws.db().clone_count(),
         ws.session_rebuilds(),
     );

@@ -61,9 +61,9 @@
 //! // ws.update_module("config.c", edited)?; ws.reanalyze();
 //! ```
 //!
-//! Checking runs on a **borrowed** [`CheckSession`] the workspace caches
-//! across calls (no database copies; invalidated automatically when
-//! `reanalyze`/`merge_db` change constraints). Every finding carries a
+//! Checking runs on a **borrowed** [`CheckSession`] over the workspace's
+//! database (no copies, no index build; whatever `reanalyze`/`merge_db`
+//! changed is visible to the next check). Every finding carries a
 //! stable [`DiagCode`] (`SPEX-Rxxx`), the violated constraint's
 //! provenance, and — where computable — a machine-applicable fix; whole
 //! runs leave the system as a [`Report`] renderable as human text, JSON
