@@ -144,6 +144,28 @@ impl ParamTable {
         self.entries[i].provenance.push(module.to_string());
     }
 
+    /// Inserts constraints inferred from `module` into slot `i` ahead of
+    /// the first constraint credited to a module that sorts after it, so
+    /// an entry's constraints stay grouped in module-name order however
+    /// often single modules are re-folded.
+    fn insert_in_module_order(&mut self, i: usize, fresh: Vec<Constraint>, module: &str) {
+        if fresh.is_empty() {
+            return;
+        }
+        self.own(module, i);
+        let entry = &mut self.entries[i];
+        let at = entry
+            .provenance
+            .iter()
+            .position(|m| m.as_str() > module)
+            .unwrap_or(entry.provenance.len());
+        let n = fresh.len();
+        entry.constraints.splice(at..at, fresh);
+        entry
+            .provenance
+            .splice(at..at, std::iter::repeat_n(module.to_string(), n));
+    }
+
     /// Replaces constraint `k` of slot `i` with one inferred from
     /// `module`.
     fn replace(&mut self, i: usize, k: usize, c: Constraint, module: &str) {
@@ -363,9 +385,7 @@ impl ConstraintDb {
         let removed = self.remove_source_param(module, param);
         let added = fresh.len();
         let i = self.params.intern(param);
-        for c in fresh {
-            self.params.append(i, c, module);
-        }
+        self.params.insert_in_module_order(i, fresh, module);
         (removed, added)
     }
 

@@ -71,9 +71,9 @@ pub mod db;
 pub mod diag;
 pub mod env;
 pub use spex_obs::json;
-mod pool;
 pub mod report;
 pub mod session;
+mod walk;
 pub mod workspace;
 
 pub use db::{ConstraintDb, DbError, MergeConflict, MergeError, MergeReport, ParamEntry};

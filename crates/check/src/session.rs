@@ -54,12 +54,13 @@
 use crate::db::{ConstraintDb, ParamEntry};
 use crate::diag::{Diagnostic, Fix, Severity};
 use crate::env::Environment;
-use crate::pool;
 use crate::report::{FileReport, Report};
+use crate::walk::walk_roots;
 use spex_conf::{ConfFile, Entry};
 use spex_core::constraint::{
     BasicType, CmpOp, ConstraintKind, DiagCode, EnumValue, SemType, SizeUnit, TimeUnit,
 };
+use spex_pool::run_indexed;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -236,7 +237,7 @@ impl<'db> CheckSession<'db> {
     {
         let _telemetry = self.recorder.as_ref().map(spex_obs::install);
         let _span = spex_obs::span("check.batch");
-        let reports = pool::run_indexed(self.threads, files.len(), self.recorder.as_ref(), |i| {
+        let reports = run_indexed(self.threads, files.len(), self.recorder.as_ref(), |i| {
             let (label, text) = &files[i];
             self.check_file(label.as_ref(), text.as_ref())
         });
@@ -255,8 +256,8 @@ impl<'db> CheckSession<'db> {
     pub fn check_paths<P: AsRef<Path>>(&self, roots: &[P]) -> std::io::Result<Report> {
         let _telemetry = self.recorder.as_ref().map(spex_obs::install);
         let _span = spex_obs::span("check.paths");
-        let files = pool::walk_roots(roots)?;
-        let reports = pool::run_indexed(self.threads, files.len(), self.recorder.as_ref(), |i| {
+        let files = walk_roots(roots)?;
+        let reports = run_indexed(self.threads, files.len(), self.recorder.as_ref(), |i| {
             let entry = &files[i];
             let label = entry.path.display().to_string();
             let unreadable = |message: String| FileReport {
@@ -330,8 +331,11 @@ impl<'db> CheckSession<'db> {
                 p.name.as_str()
             };
             let dist = levenshtein(needle, candidate, self.max_suggest_distance + 1);
-            if dist <= self.max_suggest_distance && best.map(|(b, _)| dist < b).unwrap_or(true) {
-                best = Some((dist, p.name.as_str()));
+            // Ties go to the smaller name, so the answer depends on the
+            // database's contents, not on the order they arrived in.
+            let this = (dist, p.name.as_str());
+            if dist <= self.max_suggest_distance && best.is_none_or(|b| this < b) {
+                best = Some(this);
             }
         }
         if let Some((_, known)) = best {
@@ -1563,6 +1567,26 @@ mod tests {
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].code, DiagCode::ValueRel);
         assert!(ds[0].message.contains("must satisfy"));
+    }
+
+    #[test]
+    fn unknown_key_suggestion_ties_go_to_the_smaller_name() {
+        // Noted in the opposite order: the answer must not follow the
+        // database's insertion order.
+        for names in [["pool_b", "pool_a"], ["pool_a", "pool_b"]] {
+            let mut db = ConstraintDb::new("Test", Dialect::KeyValue);
+            db.note_params(names);
+            for ci in [false, true] {
+                let ds = CheckSession::new(&db)
+                    .case_insensitive_keys(ci)
+                    .check_text("pool_c = 1\n");
+                assert_eq!(
+                    ds[0].suggestion.as_deref(),
+                    Some("did you mean \"pool_a\"?"),
+                    "{names:?}, case-insensitive {ci}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! The deterministic directory walk used by
-//! [`CheckSession::check_paths`](crate::CheckSession::check_paths), plus
-//! this crate's view of the shared worker pool (the pool itself lives in
-//! `spex-pool`, below `spex-core`, so the inference passes fan across the
-//! same primitive).
+//! The deterministic directory walk behind
+//! [`CheckSession::check_paths`](crate::CheckSession::check_paths): it
+//! lists the files under a set of roots in a fixed order, which the
+//! session then checks on the shared `spex-pool` workers.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-
-pub(crate) use spex_pool::run_indexed;
 
 /// One discovered path: a candidate file, or a location the walk could
 /// not descend (reported as unreadable rather than aborting the batch).

@@ -9,12 +9,18 @@
 //!
 //! * each module's functions are **fingerprinted** over their lowered IR,
 //!   so [`Workspace::update_module`] knows exactly which bodies changed
-//!   (whitespace and comment edits dirty nothing);
-//! * [`Workspace::reanalyze`] re-runs the five inference passes only for
-//!   parameters whose data flow touches a dirty function, and merges the
-//!   fresh constraints into the owned [`ConstraintDb`] by provenance —
-//!   work is proportional to the change, and the result is identical to a
-//!   full re-analysis;
+//!   (whitespace and comment edits dirty nothing) and reports them to the
+//!   module's [`PassCache`] — the one record of what changed: the
+//!   workspace only reports edits (`invalidate`, or `clear` on a header
+//!   or annotation change), and a module is dirty while its cache is not
+//!   current;
+//! * [`Workspace::reanalyze`] hands each dirty module to the core, which
+//!   decides from the cache which artifacts to recompute and which
+//!   parameters an edit can reach (see
+//!   [`Spex::analyze_cached_threaded`]), re-runs the five inference
+//!   passes only for those, and merges the fresh constraints into the
+//!   owned [`ConstraintDb`] by provenance — work is proportional to the
+//!   change, and the result is identical to a full re-analysis;
 //! * [`Workspace::session`] hands out a borrowed [`CheckSession`] over
 //!   the owned database — it reads the database's own name index, which
 //!   every mutation keeps current, so checking never copies a constraint
@@ -57,9 +63,9 @@ use crate::session::CheckSession;
 use spex_conf::{ConfFile, Dialect};
 use spex_core::apispec::ApiSpec;
 use spex_core::fingerprint::{
-    diff_fingerprints, function_fingerprints, header_fingerprint, FingerprintDiff,
+    diff_fingerprints, function_fingerprints, header_fingerprint, ids_stable, FingerprintDiff,
 };
-use spex_core::infer::{InferScope, PassCache, PassCounts, Spex, SpexAnalysis};
+use spex_core::infer::{PassCache, PassCounts, Spex, SpexAnalysis};
 use spex_core::Annotation;
 use spex_ir::Module;
 use spex_react::{ReactionClass, ReactionFinding};
@@ -68,37 +74,14 @@ use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// What still needs re-inference in one module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Dirty {
-    /// Fingerprints match the last analysis; the db is current.
-    Clean,
-    /// Only these functions changed since the last analysis.
-    Functions(BTreeSet<String>),
-    /// Everything must be re-inferred (new module, header or annotation
-    /// change).
-    All,
-}
-
-impl Dirty {
-    fn absorb_functions(&mut self, names: impl IntoIterator<Item = String>) {
-        match self {
-            Dirty::All => {}
-            Dirty::Functions(set) => set.extend(names),
-            Dirty::Clean => *self = Dirty::Functions(names.into_iter().collect()),
-        }
-    }
-}
-
 /// One source module owned by the workspace.
 struct SourceModule {
     /// The lowered IR (kept so `reanalyze` never re-parses), shared so
     /// analysis never deep-clones it — see [`Workspace::module_clones`].
     module: Arc<Module>,
-    /// The pass-level cache: prepared SSA state, mapping extraction and
-    /// per-parameter taint slices from the last analysis, keyed by the
-    /// function fingerprints so `reanalyze` recomputes only what an edit
-    /// could have touched.
+    /// The pass-level cache: the last analysis's artifacts plus the one
+    /// record of what changed since — `update_module` reports edits to
+    /// it, and it decides what `reanalyze` recomputes and re-infers.
     cache: PassCache,
     /// Mapping annotations for this module.
     anns: Vec<Annotation>,
@@ -106,39 +89,11 @@ struct SourceModule {
     fn_fps: BTreeMap<String, u64>,
     /// Fingerprint of globals/structs/enum constants.
     header_fp: u64,
-    /// What changed since the last analysis.
-    dirty: Dirty,
-    /// From the last analysis: each parameter's touched-function names
-    /// (used to find parameters whose old slice reached a now-removed
-    /// function, and to garbage-collect parameters that un-mapped).
-    touched: BTreeMap<String, BTreeSet<String>>,
-    /// From the last analysis: direct caller → callee function names.
-    /// Scoped re-analysis closes the dirty set over these *old* edges —
-    /// an edit that removes a call still dirties the formerly reached
-    /// callees (whose inherited guards may have vanished with the call),
-    /// while the core closes over the *new* edges symmetrically.
-    callees: BTreeMap<String, BTreeSet<String>>,
-    /// From the last analysis: each parameter's static reaction verdict.
-    /// Stale slices keep their cached finding; only dirty-slice
-    /// parameters are re-classified.
+    /// From the last analysis: each mapped parameter's static reaction
+    /// verdict, so its keys are the parameters the module mapped (which
+    /// garbage collection reads). Stale parameters keep their cached
+    /// finding; only re-inferred ones are re-classified.
     reactions: BTreeMap<String, ReactionFinding>,
-}
-
-/// Transitive closure of `names` over a caller → callees edge map.
-fn close_over_calls(
-    edges: &BTreeMap<String, BTreeSet<String>>,
-    names: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    let mut closed = names.clone();
-    let mut work: Vec<String> = closed.iter().cloned().collect();
-    while let Some(f) = work.pop() {
-        for callee in edges.get(&f).into_iter().flatten() {
-            if closed.insert(callee.clone()) {
-                work.push(callee.clone());
-            }
-        }
-    }
-    closed
 }
 
 /// A failure while feeding sources into the workspace.
@@ -358,7 +313,7 @@ impl Workspace {
     pub fn dirty_modules(&self) -> Vec<&str> {
         self.modules
             .iter()
-            .filter(|(_, m)| m.dirty != Dirty::Clean)
+            .filter(|(_, m)| !m.cache.is_current())
             .map(|(n, _)| n.as_str())
             .collect()
     }
@@ -406,9 +361,6 @@ impl Workspace {
                 anns,
                 fn_fps,
                 header_fp,
-                dirty: Dirty::All,
-                touched: BTreeMap::new(),
-                callees: BTreeMap::new(),
                 reactions: BTreeMap::new(),
             },
         );
@@ -416,9 +368,9 @@ impl Workspace {
     }
 
     /// Replaces a module's source, fingerprinting the lowered IR to
-    /// compute the dirty function set. Returns which functions changed; an
-    /// empty diff (e.g. a comment-only edit) leaves the module clean if it
-    /// already was.
+    /// compute the dirty function set, and reports it to the module's
+    /// [`PassCache`]. Returns which functions changed; an empty diff (e.g.
+    /// a comment-only edit) leaves the module clean if it already was.
     pub fn update_module(
         &mut self,
         name: &str,
@@ -437,18 +389,20 @@ impl Workspace {
         if header_fp != entry.header_fp {
             // Globals, struct layouts or enum constants moved: mappings
             // and declared-type fallbacks may shift for any parameter.
-            entry.dirty = Dirty::All;
-        } else if !diff.is_empty() {
-            entry.dirty.absorb_functions(diff.dirty_names());
+            entry.cache.clear();
+        } else {
+            entry.cache.invalidate(diff.dirty_names());
         }
         // Swap the freshly parsed body of every *unchanged* function for
         // the previous generation's allocation: the fingerprint says they
         // are identical, so untouched functions stay pointer-equal across
         // generations (`Arc::ptr_eq`) and downstream reuse — SSA state,
         // slices — keeps sharing one body instead of re-anchoring on a
-        // duplicate. Only sound when the header is stable too (embedded
-        // global/struct ids unchanged).
-        if header_fp == entry.header_fp {
+        // duplicate. Only sound when the id space is stable too: the
+        // fingerprint prints callees by name, but an old body's calls
+        // embed `FuncId`s, which a function inserted or removed ahead of
+        // the callee would re-point at a different function.
+        if header_fp == entry.header_fp && ids_stable(&entry.module, &module) {
             for f in &mut module.functions {
                 if entry.fn_fps.get(&f.name) == fn_fps.get(&f.name) {
                     if let Some(old) = entry.module.functions.iter().find(|o| o.name == f.name) {
@@ -476,12 +430,12 @@ impl Workspace {
             .get_mut(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
         entry.anns = anns;
-        entry.dirty = Dirty::All;
+        entry.cache.clear();
         Ok(())
     }
 
     /// Removes a module and garbage-collects its contribution to the
-    /// database — both what this session's analyses touched and what a
+    /// database — both what this session's analyses mapped and what a
     /// seeded database credits to the module's provenance (the
     /// [`from_db`](Workspace::from_db) resume case, where the module may
     /// never have been re-analyzed).
@@ -490,7 +444,7 @@ impl Workspace {
             .modules
             .remove(name)
             .ok_or_else(|| WorkspaceError::UnknownModule(name.to_string()))?;
-        let mut params: BTreeSet<String> = entry.touched.keys().cloned().collect();
+        let mut params: BTreeSet<String> = entry.reactions.into_keys().collect();
         params.extend(self.db.params_from_source(name));
         for param in &params {
             self.db.remove_source_param(name, param);
@@ -503,7 +457,10 @@ impl Workspace {
     /// explicitly noted, and is not mapped by any module.
     fn drop_param_if_orphaned(&mut self, param: &str) {
         let claimed = self.noted.contains(param)
-            || self.modules.values().any(|m| m.touched.contains_key(param))
+            || self
+                .modules
+                .values()
+                .any(|m| m.reactions.contains_key(param))
             || self
                 .db
                 .param(param)
@@ -513,13 +470,13 @@ impl Workspace {
         }
     }
 
-    /// Re-infers constraints for everything dirty and folds the results
-    /// into the database. Work is proportional to the change, at two
-    /// granularities: parameters whose data flow does not touch any dirty
-    /// function keep their persisted constraints untouched and their
-    /// inference passes do not run, and the expensive intermediate
-    /// artifacts — SSA preparation, mapping extraction, per-parameter
-    /// taint slices — are served from a fingerprint-keyed [`PassCache`]
+    /// Re-infers constraints for every module whose [`PassCache`] is not
+    /// current and folds the results into the database. Work is
+    /// proportional to the change, at two granularities: parameters no
+    /// recorded edit can reach keep their persisted constraints untouched
+    /// and their inference passes do not run, and the expensive
+    /// intermediate artifacts — SSA preparation, mapping extraction,
+    /// summaries, per-parameter taint slices — are served from the cache
     /// whenever the edit provably cannot affect them (see
     /// [`ReanalyzeReport::passes`] for both the pass and the cache
     /// accounting). The stored module is shared into the analysis and
@@ -538,58 +495,21 @@ impl Workspace {
             module: Arc<Module>,
             anns: Vec<Annotation>,
             cache: Mutex<PassCache>,
-            scope: Option<InferScope>,
-            dirty_fns: Option<BTreeSet<String>>,
         }
 
-        // Phase 1 (serial, module-name order): snapshot every dirty
-        // module's inputs and change scope.
-        let names: Vec<String> = self.modules.keys().cloned().collect();
+        // Phase 1 (serial, module-name order): snapshot every module whose
+        // cache holds pending edits (or is cold).
         let mut jobs: Vec<Job> = Vec::new();
-        for name in names {
-            let entry = self.modules.get_mut(&name).expect("listed above");
-            let (scope, dirty_fns) = match &entry.dirty {
-                Dirty::Clean => continue,
-                Dirty::All => {
-                    // Header or annotation change: every cached artifact's
-                    // id space is suspect.
-                    entry.cache.clear();
-                    (None, None)
-                }
-                Dirty::Functions(fns) => {
-                    // Close the dirty names over the *previous* analysis's
-                    // call edges: an edit that removed a call must still
-                    // dirty the callees it used to reach (their inherited
-                    // guards may have vanished with the call). The core
-                    // closes over the new edges symmetrically.
-                    let closed = close_over_calls(&entry.callees, fns);
-                    // Force parameters whose *previous* slice reached any
-                    // of those functions (possibly removed ones): their
-                    // fresh slice may no longer touch them, but their
-                    // constraints must still be recomputed.
-                    let forced: Vec<&String> = entry
-                        .touched
-                        .iter()
-                        .filter(|(_, t)| !t.is_disjoint(&closed))
-                        .map(|(p, _)| p)
-                        .collect();
-                    (
-                        Some(InferScope::functions(closed.iter().cloned()).with_params(forced)),
-                        // The raw (unclosed) dirty set keys the slice
-                        // cache: a changed caller invalidates only slices
-                        // it can actually reach.
-                        Some(fns.clone()),
-                    )
-                }
-            };
+        for (name, entry) in &mut self.modules {
+            if entry.cache.is_current() {
+                continue;
+            }
             report.modules_analyzed += 1;
             jobs.push(Job {
                 name: name.clone(),
                 module: Arc::clone(&entry.module),
                 anns: entry.anns.clone(),
                 cache: Mutex::new(std::mem::take(&mut entry.cache)),
-                scope,
-                dirty_fns,
             });
         }
 
@@ -602,18 +522,10 @@ impl Workspace {
         let analyze_job = |job: &Job, threads: usize| {
             let _module_span = spex_obs::span!("workspace.module", module = job.name);
             let mut cache = job.cache.lock().expect("job cache lock");
-            Spex::analyze_cached_threaded(
-                &job.module,
-                &job.anns,
-                spec.clone(),
-                job.scope.as_ref(),
-                job.dirty_fns.as_ref(),
-                &mut cache,
-                threads,
-            )
+            Spex::analyze_cached_threaded(&job.module, &job.anns, spec.clone(), &mut cache, threads)
         };
         let analyses: Vec<SpexAnalysis> = if jobs.len() > 1 {
-            crate::pool::run_indexed(self.threads, jobs.len(), self.telemetry.as_ref(), |i| {
+            spex_pool::run_indexed(self.threads, jobs.len(), self.telemetry.as_ref(), |i| {
                 analyze_job(&jobs[i], 1)
             })
         } else {
@@ -643,18 +555,12 @@ impl Workspace {
             );
             let mut react_hits = 0u64;
             let mut reactions: BTreeMap<String, ReactionFinding> = BTreeMap::new();
-            let mut touched: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
             for r in &analysis.reports {
-                touched.insert(
-                    r.param.name.clone(),
-                    r.taint
-                        .touched_functions()
-                        .into_iter()
-                        .map(|fid| analysis.am.module.func(fid).name.clone())
-                        .collect(),
-                );
                 self.db.note_param(&r.param.name);
                 if r.stale {
+                    // A stale report means its slice hit the cache, so the
+                    // parameter was mapped by the previous analysis, which
+                    // left it a verdict: every mapped parameter keeps one.
                     if let Some(f) = old_reactions.remove(&r.param.name) {
                         report.passes.react_cache_hits += 1;
                         react_hits += 1;
@@ -677,40 +583,23 @@ impl Workspace {
 
             // Garbage-collect parameters this module no longer maps.
             // "Previously owned" is the union of what the last in-session
-            // analysis touched and what the database credits to this
-            // module — the latter matters when resuming from a persisted
-            // db, where `touched` starts empty but stale provenance-tagged
-            // constraints may exist.
-            let gone: Vec<String> = {
-                let entry = self.modules.get(&name).expect("still present");
-                entry
-                    .touched
-                    .keys()
-                    .cloned()
-                    .chain(self.db.params_from_source(&name))
-                    .filter(|p| !touched.contains_key(p))
-                    .collect()
-            };
-            // Record this analysis's call edges (by name) for the next
-            // scoped run's old-edge closure.
-            let mut callees: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-            for (callee, sites) in &analysis.am.callgraph.callers_of {
-                let callee_name = &analysis.am.module.func(*callee).name;
-                for site in sites {
-                    callees
-                        .entry(analysis.am.module.func(site.caller).name.clone())
-                        .or_default()
-                        .insert(callee_name.clone());
-                }
-            }
+            // analysis mapped (the remaining old verdicts) and what the
+            // database credits to this module — the latter matters when
+            // resuming from a persisted db, where the module has no
+            // verdicts yet but stale provenance-tagged constraints may
+            // exist.
+            let gone: Vec<String> = old_reactions
+                .into_keys()
+                .chain(self.db.params_from_source(&name))
+                .filter(|p| !reactions.contains_key(p))
+                .collect();
             if react_hits > 0 {
                 spex_obs::counter("react.cache.hits", react_hits);
             }
-            let entry = self.modules.get_mut(&name).expect("still present");
-            entry.touched = touched;
-            entry.callees = callees;
-            entry.reactions = reactions;
-            entry.dirty = Dirty::Clean;
+            self.modules
+                .get_mut(&name)
+                .expect("still present")
+                .reactions = reactions;
             for param in gone {
                 report.constraints_removed += self.db.remove_source_param(&name, &param);
                 self.drop_param_if_orphaned(&param);

@@ -103,6 +103,25 @@ impl FingerprintDiff {
     }
 }
 
+/// Whether `next` keeps `prev`'s id space: the same globals (name and
+/// order) and `prev`'s function table a prefix of `next`'s, so every
+/// `FuncId`/`GlobalId` embedded in a `prev` function body or a cached
+/// artifact still resolves to the same entity in `next`.
+pub fn ids_stable(prev: &Module, next: &Module) -> bool {
+    prev.functions.len() <= next.functions.len()
+        && prev
+            .functions
+            .iter()
+            .zip(&next.functions)
+            .all(|(a, b)| a.name == b.name)
+        && prev.globals.len() == next.globals.len()
+        && prev
+            .globals
+            .iter()
+            .zip(&next.globals)
+            .all(|(a, b)| a.name == b.name)
+}
+
 /// Diffs two fingerprint maps (old → new).
 pub fn diff_fingerprints(
     old: &BTreeMap<String, u64>,

@@ -58,11 +58,13 @@ pub fn infer(
     })
 }
 
+/// Ties on depth go to the lowest `(function, value)` id: the slice's
+/// values are hashed, so iteration order alone would pick arbitrarily.
 fn shallowest_type(am: &AnalyzedModule, taint: &TaintResult) -> Option<CType> {
     taint
         .values
         .iter()
-        .min_by_key(|(_, depth)| **depth)
+        .min_by_key(|(&(f, v), &depth)| (depth, f, v))
         .map(|((f, v), _)| am.module.func(*f).value_type(*v).clone())
 }
 

@@ -54,7 +54,9 @@ pub fn infer(
         if sites.is_empty() {
             continue;
         }
-        // Tally guards over all usage sites.
+        // Tally guards over all usage sites. The slice's values are
+        // hashed, so the site order is arbitrary: each guard keeps its
+        // earliest site's span, and guards are emitted in a fixed order.
         let mut tally: HashMap<Guard, (usize, Span)> = HashMap::new();
         for &(f, b, span) in &sites {
             let mut guards: HashSet<Guard> = intra.guards_at(am, f, b).clone();
@@ -67,8 +69,11 @@ pub fn infer(
                 }
                 let e = tally.entry(g).or_insert((0, span));
                 e.0 += 1;
+                e.1 = e.1.min(span);
             }
         }
+        let mut tally: Vec<(Guard, (usize, Span))> = tally.into_iter().collect();
+        tally.sort_unstable_by_key(|(g, _)| (g.param, g.value, g.op as u8));
         for (g, (count, span)) in tally {
             let confidence = count as f64 / sites.len() as f64;
             if confidence + 1e-9 >= CONFIDENCE_THRESHOLD {

@@ -17,6 +17,7 @@ pub mod value_rel;
 use crate::annotations::Annotation;
 use crate::apispec::ApiSpec;
 use crate::constraint::Constraint;
+use crate::fingerprint::ids_stable;
 use crate::mapping::{
     extract_annotation, mapping_relevant, merge_mappings, MappedParam, MappingError,
 };
@@ -40,10 +41,10 @@ pub struct ParamReport {
     pub constraints: Vec<Constraint>,
     /// Raw evidence consumed by the error-prone-design detectors (§3.2).
     pub evidence: Evidence,
-    /// Set when a scoped analysis skipped this parameter's inference
-    /// passes: the mapping and taint slice are fresh, but `constraints`
-    /// and `evidence` are empty and previously persisted results remain
-    /// authoritative.
+    /// Set when a warm analysis skipped this parameter's inference passes
+    /// because no recorded edit could reach it (see [`PassCache`]): the
+    /// mapping and taint slice are fresh, but `constraints` and `evidence`
+    /// are empty and previously persisted results remain authoritative.
     pub stale: bool,
 }
 
@@ -151,37 +152,6 @@ impl PassCounts {
     }
 }
 
-/// Limits a re-analysis to the parameters a code change could affect.
-///
-/// A parameter is *in scope* — and has its five inference passes re-run —
-/// when its fresh taint slice touches any function in `functions`, or when
-/// its name is listed in `params` (used for parameters whose *previous*
-/// slice touched a function that no longer exists). Everything else is
-/// returned as a [`stale`](ParamReport::stale) report with no constraints.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct InferScope {
-    /// Names of functions whose bodies changed (including added ones).
-    pub functions: BTreeSet<String>,
-    /// Parameter names forced into scope regardless of current data flow.
-    pub params: BTreeSet<String>,
-}
-
-impl InferScope {
-    /// A scope over a set of dirty function names.
-    pub fn functions<I: IntoIterator<Item = S>, S: Into<String>>(names: I) -> InferScope {
-        InferScope {
-            functions: names.into_iter().map(Into::into).collect(),
-            params: BTreeSet::new(),
-        }
-    }
-
-    /// Additionally forces parameters into scope by name.
-    pub fn with_params<I: IntoIterator<Item = S>, S: Into<String>>(mut self, names: I) -> Self {
-        self.params.extend(names.into_iter().map(Into::into));
-        self
-    }
-}
-
 /// The full analysis result for one system.
 pub struct SpexAnalysis {
     /// The prepared module (SSA form plus analysis caches), shared with
@@ -219,36 +189,56 @@ impl SpexAnalysis {
 }
 
 /// The fingerprint-keyed cache for the expensive intermediate artifacts
-/// of one module's analysis: the prepared [`AnalyzedModule`] (SSA form,
+/// of one module's analysis — the prepared [`AnalyzedModule`] (SSA form,
 /// CFGs, dominators, use-def chains), the config-mapping extraction
-/// result, and the per-parameter taint slices.
+/// result, the function summaries and the per-parameter taint slices —
+/// and the one record of what changed since they were computed.
 ///
-/// One cache belongs to one module lineage. [`Spex::analyze_cached_threaded`]
-/// consults it when given the set of dirty function names and refills it
-/// after every run, so a warm re-analysis after a small edit recomputes
-/// only the artifacts the edit could have touched and reuses the rest by
-/// `Arc` bump. Dropping the cache (or passing `dirty = None`) degrades
-/// gracefully to a full analysis.
+/// One cache belongs to one module lineage. It is in one of three states:
+///
+/// * **cold** (new, or after [`clear`](PassCache::clear)): the next
+///   [`Spex::analyze_cached_threaded`] recomputes everything and infers
+///   every parameter;
+/// * **warm with pending edits** (after [`invalidate`](PassCache::invalidate)):
+///   the next analysis reuses every artifact the named functions cannot
+///   reach and re-infers only the parameters they can (see
+///   [`analyze_cached_threaded`](Spex::analyze_cached_threaded) for the
+///   rule);
+/// * **current** ([`is_current`](PassCache::is_current)): the last
+///   analysis still stands.
+///
+/// Every analysis refills the cache and leaves it current.
 #[derive(Default)]
 pub struct PassCache {
     state: Option<CacheState>,
 }
 
 impl PassCache {
-    /// Forgets everything (e.g. after an annotation or header change the
-    /// caller knows invalidates all artifacts).
+    /// Forgets everything, so the next analysis runs cold (e.g. after an
+    /// annotation or header change, which can shift any parameter).
     pub fn clear(&mut self) {
         self.state = None;
     }
 
-    /// Whether the cache currently holds a prior analysis generation.
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
+    /// Records that the named functions changed — edited, added or
+    /// removed — since the last analysis. A cold cache ignores it: its
+    /// next analysis re-infers everything anyway.
+    pub fn invalidate<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, names: I) {
+        if let Some(state) = &mut self.state {
+            state.dirty.extend(names.into_iter().map(Into::into));
+        }
+    }
+
+    /// Whether the last analysis still stands: the cache is warm and no
+    /// edit has been recorded since.
+    pub fn is_current(&self) -> bool {
+        self.state.as_ref().is_some_and(|s| s.dirty.is_empty())
     }
 }
 
 struct CacheState {
-    /// The previous generation's prepared module.
+    /// The previous generation's prepared module (its call graph holds
+    /// the previous call edges).
     am: Arc<AnalyzedModule>,
     /// Fingerprint of the annotations the artifacts were extracted under.
     ann_fp: u64,
@@ -260,6 +250,9 @@ struct CacheState {
     summaries: Arc<ModuleSummaries>,
     /// Cached per-parameter slices, by parameter name.
     slices: HashMap<String, CachedSlice>,
+    /// Names of the functions changed since this generation was
+    /// analyzed (see [`PassCache::invalidate`]).
+    dirty: BTreeSet<String>,
 }
 
 /// One parameter's cached taint slice plus the summaries its validity
@@ -402,25 +395,6 @@ fn ann_fingerprint(anns: &[Annotation]) -> u64 {
     crate::fingerprint::fnv1a(format!("{anns:?}").as_bytes())
 }
 
-/// Whether the cached generation's id space is compatible with `module`:
-/// same globals (name and order) and the old function table a prefix of
-/// the new one, so every `FuncId`/`GlobalId` embedded in cached artifacts
-/// still resolves to the same entity.
-fn ids_stable(prev: &Module, next: &Module) -> bool {
-    prev.functions.len() <= next.functions.len()
-        && prev
-            .functions
-            .iter()
-            .zip(&next.functions)
-            .all(|(a, b)| a.name == b.name)
-        && prev.globals.len() == next.globals.len()
-        && prev
-            .globals
-            .iter()
-            .zip(&next.globals)
-            .all(|(a, b)| a.name == b.name)
-}
-
 /// Entry point of the SPEX analysis.
 pub struct Spex;
 
@@ -432,8 +406,6 @@ impl Spex {
             &module,
             anns,
             ApiSpec::standard(),
-            None,
-            None,
             &mut PassCache::default(),
             1,
         )
@@ -442,52 +414,60 @@ impl Spex {
     /// The one analysis entry point: analyzes a borrowed module (never
     /// deep-cloned) with API registry `spec` (the paper imported
     /// Storage-A's proprietary APIs this way), fanning the per-parameter
-    /// passes across up to `threads` scoped workers.
+    /// passes across up to `threads` scoped workers, and refills `cache`.
     ///
-    /// `scope` restricts the five inference passes to in-scope parameters
-    /// (mapping and taint still run for all; the rest come back as
-    /// [`stale`](ParamReport::stale) reports); `None` is a full analysis.
+    /// A cold `cache` — or one whose annotations or id space no longer
+    /// match the module — recomputes everything and infers every
+    /// parameter. A warm one holds the set `D` of functions recorded by
+    /// [`PassCache::invalidate`] since its last analysis. The prepared
+    /// module, each annotation's mapping extraction, each SCC's summaries
+    /// and each taint slice are then reused unless `D` could reach them
+    /// (see [`PassCounts`] for the accounting). Let `old` be `D` closed
+    /// over the previous generation's call edges (a removed call still
+    /// reaches the callees whose inherited guards it took along) and
+    /// `new` be `old` closed over the module's current call edges (an
+    /// edited caller changes the guards its callees inherit). A parameter
+    /// re-runs the five inference passes iff
     ///
-    /// `dirty` names every function whose lowered IR changed since `cache`
-    /// was last filled (changed, added *and* removed). With it and an
-    /// unchanged module header, the prepared module, the mapping
-    /// extraction and each taint slice are reused unless the edit could
-    /// reach them — see [`PassCounts`] for the accounting. `None` (or a
-    /// cold cache) recomputes everything and seeds the cache.
+    /// * its slice touches `new`, or
+    /// * its slice missed the cache (a slice that shrank away from `D`
+    ///   still sheds its outdated constraints).
+    ///
+    /// Whether the *previous* slice touched `old` needs no test of its
+    /// own: a slice that hit the cache touches exactly the functions it
+    /// touched before, none of them removed, and `new` contains `old`.
+    /// Every other parameter comes back as a
+    /// [`stale`](ParamReport::stale) report.
     ///
     /// The output is **byte-identical to the serial run** at every thread
     /// count: results come back in parameter index order, and the
     /// multi-parameter passes (control dependencies, value relationships)
-    /// stay serial, so [`SpexAnalysis::reports`] is deterministic.
-    #[allow(clippy::too_many_arguments)]
+    /// stay serial, so [`SpexAnalysis::reports`] is deterministic. The
+    /// per-parameter passes fan across the pool whenever more than one
+    /// parameter is live; routing on the *workload* rather than the
+    /// thread count keeps the telemetry count signature
+    /// thread-count-independent.
     pub fn analyze_cached_threaded(
         module: &Module,
         anns: &[Annotation],
         spec: ApiSpec,
-        scope: Option<&InferScope>,
-        dirty: Option<&BTreeSet<String>>,
         cache: &mut PassCache,
         threads: usize,
     ) -> SpexAnalysis {
         let mut passes = PassCounts::default();
         let ann_fp = ann_fingerprint(anns);
 
-        // Reuse the previous generation's per-function state when the id
-        // space is compatible; otherwise run cold.
-        let warm = matches!(
-            (&cache.state, dirty),
-            (Some(state), Some(_))
-                if state.ann_fp == ann_fp && ids_stable(&state.am.module, module)
-        );
-        let am: Arc<AnalyzedModule> = if warm {
-            let state = cache.state.as_ref().expect("warm implies state");
-            let dirty = dirty.expect("warm implies dirty");
-            Arc::new(AnalyzedModule::rebuild(&state.am, module, &|name| {
-                dirty.contains(name)
-            }))
-        } else {
-            cache.state = None;
-            Arc::new(AnalyzedModule::build_ref(module))
+        // Reuse the previous generation when the id space is compatible;
+        // otherwise run cold.
+        let prev: Option<CacheState> = cache
+            .state
+            .take()
+            .filter(|s| s.ann_fp == ann_fp && ids_stable(&s.am.module, module));
+        let am: Arc<AnalyzedModule> = match &prev {
+            Some(p) => Arc::new(AnalyzedModule::rebuild(&p.am, module, &|name| {
+                p.dirty.contains(name)
+            })),
+            None => Arc::new(AnalyzedModule::build_ref(module)),
         };
 
         // Mapping extraction, cached per annotation: one annotation's
@@ -496,32 +476,22 @@ impl Spex {
         // parser named by one annotation no longer re-extracts its
         // neighbours. A module without annotations counts one trivial
         // extraction, preserving the historical accounting shape.
+        let relevant = |am: &AnalyzedModule, name: &str, one: &[Annotation]| {
+            am.module
+                .function_by_name(name)
+                .is_some_and(|fid| mapping_relevant(am, fid, one))
+        };
         let mut ann_mappings: Vec<Arc<Result<Vec<MappedParam>, MappingError>>> =
             Vec::with_capacity(anns.len());
         for (j, ann) in anns.iter().enumerate() {
             let one = std::slice::from_ref(ann);
-            let cached = if warm {
-                let state = cache.state.as_ref().expect("warm implies state");
-                let dirty = dirty.expect("warm implies dirty");
-                let unaffected = dirty.iter().all(|name| {
-                    let old_ok = match state.am.module.function_by_name(name) {
-                        Some(fid) => !mapping_relevant(&state.am, fid, one),
-                        None => true,
-                    };
-                    let new_ok = match am.module.function_by_name(name) {
-                        Some(fid) => !mapping_relevant(&am, fid, one),
-                        None => true,
-                    };
-                    old_ok && new_ok
-                });
-                if unaffected {
-                    state.ann_mappings.get(j).cloned()
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
+            let cached = prev.as_ref().and_then(|p| {
+                let unaffected = p
+                    .dirty
+                    .iter()
+                    .all(|name| !relevant(&p.am, name, one) && !relevant(&am, name, one));
+                unaffected.then(|| p.ann_mappings.get(j).cloned()).flatten()
+            });
             match cached {
                 Some(m) => {
                     passes.mapping_cache_hits += 1;
@@ -535,7 +505,7 @@ impl Spex {
             }
         }
         if anns.is_empty() {
-            if warm {
+            if prev.is_some() {
                 passes.mapping_cache_hits += 1;
             } else {
                 passes.mapping_extractions += 1;
@@ -543,36 +513,35 @@ impl Spex {
         }
         // Any failing annotation empties the whole mapping, exactly as the
         // all-at-once extraction did.
-        let params: Arc<Vec<MappedParam>> = if ann_mappings.iter().any(|r| r.is_err()) {
-            Arc::new(Vec::new())
+        let params: Vec<MappedParam> = if ann_mappings.iter().any(|r| r.is_err()) {
+            Vec::new()
         } else {
-            Arc::new(merge_mappings(ann_mappings.iter().map(|r| {
-                r.as_ref().as_ref().expect("errors filtered above").clone()
-            })))
+            merge_mappings(
+                ann_mappings
+                    .iter()
+                    .map(|r| r.as_ref().as_ref().expect("errors filtered above").clone()),
+            )
         };
 
         // Interprocedural function summaries, SCC-granular: a dirty
         // function invalidates exactly its component plus the components
         // that (transitively) call into it; every other component is
         // reused from the previous generation by clone.
-        let module_summaries: Arc<ModuleSummaries> = {
+        let summaries: Arc<ModuleSummaries> = {
             let _span = spex_obs::span("infer.summary");
-            let prev = if warm {
-                let state = cache.state.as_ref().expect("warm implies state");
-                let dirty = dirty.expect("warm implies dirty");
-                let dirty_fns: Vec<bool> = am
+            let dirty_fns: Vec<bool> = match &prev {
+                Some(p) => am
                     .module
                     .functions
                     .iter()
-                    .map(|f| dirty.contains(&f.name))
-                    .collect();
-                Some((Arc::clone(&state.summaries), dirty_fns))
-            } else {
-                None
+                    .map(|f| p.dirty.contains(&f.name))
+                    .collect(),
+                None => Vec::new(),
             };
             let (s, stats) = ModuleSummaries::compute_incremental(
                 &am,
-                prev.as_ref().map(|(p, d)| (p.as_ref(), d.as_slice())),
+                prev.as_ref()
+                    .map(|p| (p.summaries.as_ref(), dirty_fns.as_slice())),
             );
             passes.summary_runs += stats.runs;
             passes.summary_cache_hits += stats.hits;
@@ -585,43 +554,39 @@ impl Spex {
         // into a cached slice — a removed channel (say, a dropped function
         // pointer that used to feed a touched indirect call) shrinks the
         // recomputed slice just as surely as an added one grows it.
-        let mut engine: Option<TaintEngine> = None;
-        let summaries: Vec<DirtyFnSummary> = if warm {
-            let state = cache.state.as_ref().expect("warm implies state");
-            dirty
-                .expect("warm implies dirty")
+        let dirty_summaries: Vec<DirtyFnSummary> = match &prev {
+            Some(p) => p
+                .dirty
                 .iter()
                 .flat_map(|name| {
-                    let old = state
-                        .am
-                        .module
-                        .function_by_name(name)
-                        .map(|fid| summarize_dirty_fn(&state.am, fid));
+                    let old =
+                        p.am.module
+                            .function_by_name(name)
+                            .map(|fid| summarize_dirty_fn(&p.am, fid));
                     let new = am
                         .module
                         .function_by_name(name)
                         .map(|fid| summarize_dirty_fn(&am, fid));
                     old.into_iter().chain(new)
                 })
-                .collect()
-        } else {
-            Vec::new()
+                .collect(),
+            None => Vec::new(),
         };
+        let mut engine: Option<TaintEngine> = None;
         let mut slice_hit = vec![false; params.len()];
         let taints: Vec<Arc<TaintResult>> = params
             .iter()
             .zip(&mut slice_hit)
             .map(|(p, hit)| {
-                if warm {
-                    let state = cache.state.as_ref().expect("warm implies state");
-                    let dirty = dirty.expect("warm implies dirty");
-                    if let Some(cached) = state.slices.get(&p.name) {
-                        if slice_survives_edit(cached, &p.roots, dirty, &summaries) {
-                            passes.taint_cache_hits += 1;
-                            *hit = true;
-                            return Arc::clone(&cached.taint);
-                        }
-                    }
+                let cached = prev.as_ref().and_then(|prev| {
+                    prev.slices
+                        .get(&p.name)
+                        .filter(|c| slice_survives_edit(c, &p.roots, &prev.dirty, &dirty_summaries))
+                });
+                if let Some(cached) = cached {
+                    passes.taint_cache_hits += 1;
+                    *hit = true;
+                    return Arc::clone(&cached.taint);
                 }
                 passes.taint_runs += 1;
                 let engine = engine.get_or_insert_with(|| TaintEngine::new(&am));
@@ -631,17 +596,40 @@ impl Spex {
             .collect();
         drop(engine);
 
+        // The inference scope (see the rule above); a cold run infers
+        // every parameter.
+        let in_scope: Vec<bool> = match &prev {
+            None => vec![true; params.len()],
+            Some(prev) => {
+                let old = callee_closure(&prev.am, prev.dirty.clone());
+                let new = callee_closure(&am, old);
+                let reached: Vec<bool> = am
+                    .module
+                    .functions
+                    .iter()
+                    .map(|f| new.contains(&f.name))
+                    .collect();
+                taints
+                    .iter()
+                    .zip(&slice_hit)
+                    .map(|(t, &hit)| {
+                        !hit || t.touched_functions().iter().any(|f| reached[f.index()])
+                    })
+                    .collect()
+            }
+        };
+
         // Refill the cache for the next generation. A hit slice keeps its
         // bookkeeping entry as-is — its touched functions are unchanged by
         // construction, so re-deriving the summaries would walk the same
         // instructions to the same answer; only recomputed slices are
         // (re)summarized.
-        let mut old_slices = cache.state.take().map(|s| s.slices).unwrap_or_default();
+        let mut old_slices = prev.map(|p| p.slices).unwrap_or_default();
         cache.state = Some(CacheState {
             am: Arc::clone(&am),
             ann_fp,
             ann_mappings,
-            summaries: Arc::clone(&module_summaries),
+            summaries: Arc::clone(&summaries),
             slices: params
                 .iter()
                 .zip(&taints)
@@ -657,74 +645,12 @@ impl Spex {
                     (p.name.clone(), entry)
                 })
                 .collect(),
+            dirty: BTreeSet::new(),
         });
 
-        // A slice that missed the cache may differ from its previous
-        // generation — including slices that *shrank*, whose touched set no
-        // longer intersects the dirty functions (say, an edit removed the
-        // only function-pointer wiring a bound-checking callee in). Scope
-        // membership alone would leave such a parameter stale with its
-        // outdated constraints, so every recomputed slice forces its
-        // parameter into scope.
-        let recomputed = dirty
-            .is_some()
-            .then(|| slice_hit.iter().map(|&h| !h).collect());
-
-        Self::infer_from_slices(
-            am,
-            params,
-            taints,
-            module_summaries,
-            spec,
-            scope,
-            recomputed,
-            passes,
-            threads,
-        )
-    }
-
-    /// The five inference passes over prepared slices (shared tail of the
-    /// cached and uncached entry points). `recomputed` marks parameters
-    /// whose slice was not served from the pass cache (cached runs only);
-    /// they are inferred even when outside `scope`.
-    ///
-    /// The per-parameter passes fan across up to `threads` pool workers
-    /// whenever more than one parameter is live. Routing on the *workload*
-    /// rather than the thread count keeps the telemetry count signature
-    /// thread-count-independent: a warm single-dirty-parameter reanalyze
-    /// never touches the pool, a cold run always does, at any `threads`.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_from_slices(
-        am: Arc<AnalyzedModule>,
-        params: Arc<Vec<MappedParam>>,
-        taints: Vec<Arc<TaintResult>>,
-        summaries: Arc<ModuleSummaries>,
-        spec: ApiSpec,
-        scope: Option<&InferScope>,
-        recomputed: Option<Vec<bool>>,
-        mut passes: PassCounts,
-        threads: usize,
-    ) -> SpexAnalysis {
         // Reverse index: tainted value -> parameter indices, for the
         // multi-parameter passes.
         let vindex = build_value_index(&taints);
-
-        let in_scope: Vec<bool> = match scope {
-            None => vec![true; params.len()],
-            Some(s) => {
-                let dirty = expand_dirty_functions(&am, &s.functions);
-                params
-                    .iter()
-                    .zip(taints.iter())
-                    .enumerate()
-                    .map(|(i, (p, t))| {
-                        s.params.contains(&p.name)
-                            || t.touched_functions().iter().any(|fid| dirty.contains(fid))
-                            || recomputed.as_ref().is_some_and(|r| r[i])
-                    })
-                    .collect()
-            }
-        };
 
         // First pass group: the three per-parameter passes plus evidence
         // collection are embarrassingly parallel — each job reads the
@@ -784,9 +710,9 @@ impl Spex {
 
         // Second pass: multi-parameter constraints over the slices. These
         // scan branch sites once for the whole module; constraints are
-        // attributed to the dependent / left-hand parameter, and under a
-        // scope only in-scope parameters receive fresh attributions.
-        if in_scope.iter().any(|live| *live) {
+        // attributed to the dependent / left-hand parameter, and only
+        // in-scope parameters receive fresh attributions.
+        if live_total > 0 {
             let names: Vec<String> = reports.iter().map(|r| r.param.name.clone()).collect();
             passes.control_dep += 1;
             let cd_span = spex_obs::span("infer.control_dep");
@@ -828,15 +754,13 @@ impl Spex {
     }
 }
 
-/// Closes a set of dirty function names over the call graph: dirty
-/// functions plus every transitive *callee* of one. Editing a caller can
-/// change the guards its callees inherit (the control-dependency pass
-/// propagates branch conditions caller → callee), so a parameter used only
-/// inside a callee still needs re-inference when the caller changes.
-fn expand_dirty_functions(
-    am: &AnalyzedModule,
-    names: &BTreeSet<String>,
-) -> std::collections::HashSet<FuncId> {
+/// Closes a set of function names over `am`'s call edges: the names plus
+/// every transitive *callee* of one (names `am` lacks stay in the set).
+/// Editing a caller can change the guards its callees inherit (the
+/// control-dependency pass propagates branch conditions caller → callee),
+/// so a parameter used only inside a callee still needs re-inference when
+/// the caller changes.
+fn callee_closure(am: &AnalyzedModule, mut names: BTreeSet<String>) -> BTreeSet<String> {
     // Caller → callees adjacency (the call graph stores the reverse).
     let mut callees_of: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
     for (callee, sites) in &am.callgraph.callers_of {
@@ -844,23 +768,18 @@ fn expand_dirty_functions(
             callees_of.entry(site.caller).or_default().push(*callee);
         }
     }
-    let mut dirty: std::collections::HashSet<FuncId> = am
-        .module
-        .functions
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| names.contains(&f.name))
-        .map(|(i, _)| FuncId(i as u32))
+    let mut work: Vec<FuncId> = (0..am.module.functions.len() as u32)
+        .map(FuncId)
+        .filter(|&f| names.contains(&am.module.func(f).name))
         .collect();
-    let mut work: Vec<FuncId> = dirty.iter().copied().collect();
     while let Some(f) = work.pop() {
-        for callee in callees_of.get(&f).into_iter().flatten() {
-            if dirty.insert(*callee) {
-                work.push(*callee);
+        for &callee in callees_of.get(&f).into_iter().flatten() {
+            if names.insert(am.module.func(callee).name.clone()) {
+                work.push(callee);
             }
         }
     }
-    dirty
+    names
 }
 
 /// Maps every tainted SSA value to the parameters whose flow reaches it.
@@ -986,5 +905,205 @@ mod tests {
             readable.contains("ft_min_word_len") && readable.contains("ft_max_word_len"),
             "got {readable}"
         );
+    }
+
+    // -- PassCache: the scope rule, driven without a workspace ----------
+
+    const ANN: &str = "{ @STRUCT = options\n @PAR = [opt, 1]\n @VAR = [opt, 2] }";
+
+    fn lower(src: &str) -> Module {
+        spex_ir::lower_program(&spex_lang::parse_program(src).unwrap()).unwrap()
+    }
+
+    /// Analyzes `src` into `cache` (cold or warm, as the cache stands).
+    fn run(cache: &mut PassCache, src: &str) -> SpexAnalysis {
+        let anns = Annotation::parse(ANN).unwrap();
+        Spex::analyze_cached_threaded(&lower(src), &anns, ApiSpec::standard(), cache, 1)
+    }
+
+    fn stale(a: &SpexAnalysis) -> Vec<(&str, bool)> {
+        a.reports
+            .iter()
+            .map(|r| (r.param.name.as_str(), r.stale))
+            .collect()
+    }
+
+    /// Two parameters, each read by its own function.
+    const TWO_FNS: &str = r#"
+        int threads = 4;
+        int nap = 30;
+        struct opt { char* name; int* var; };
+        struct opt options[] = { { "threads", &threads }, { "nap", &nap } };
+        void startup() { if (threads > 16) { exit(1); } }
+        void napper() { sleep(nap); }
+    "#;
+
+    #[test]
+    fn one_dirty_function_reinfers_only_the_param_it_reaches() {
+        let mut cache = PassCache::default();
+        assert!(!cache.is_current(), "a new cache is cold");
+        cache.invalidate(["napper"]);
+        let cold = run(&mut cache, TWO_FNS);
+        assert_eq!(stale(&cold), [("threads", false), ("nap", false)]);
+        assert_eq!(cold.passes.taint_runs, 2);
+        assert!(cache.is_current());
+        cache.invalidate(Vec::<String>::new());
+        assert!(cache.is_current(), "an empty edit changes nothing");
+
+        let edited = TWO_FNS.replace("sleep(nap);", "if (nap > 600) { exit(1); } sleep(nap);");
+        cache.invalidate(["napper"]);
+        assert!(!cache.is_current());
+        let warm = run(&mut cache, &edited);
+        assert_eq!(stale(&warm), [("threads", true), ("nap", false)]);
+        assert_eq!(
+            warm.passes,
+            PassCounts {
+                basic_type: 1,
+                semantic_type: 1,
+                range: 1,
+                control_dep: 1,
+                value_rel: 1,
+                mapping_cache_hits: 1,
+                taint_runs: 1,
+                taint_cache_hits: 1,
+                summary_runs: 1,
+                summary_cache_hits: 1,
+                ..PassCounts::default()
+            }
+        );
+        assert!(cache.is_current());
+    }
+
+    /// `commit_siblings`'s only guard is `fsync`, inherited by `flush`
+    /// through `main_loop` → `sync_all` → `flush`. The slice touches only
+    /// `flush`, so dropping the call in `main_loop` leaves it a cache hit;
+    /// the closure over the *previous* call edges still re-infers it.
+    #[test]
+    fn removed_call_edge_reinfers_the_callee_that_lost_its_only_guard() {
+        const GUARDED: &str = r#"
+            int fsync_on = 1;
+            int commit_siblings = 5;
+            struct opt { char* name; int* var; };
+            struct opt options[] = {
+                { "fsync", &fsync_on }, { "commit_siblings", &commit_siblings }
+            };
+            void flush() {
+                if (commit_siblings > 0) { sleep(commit_siblings); }
+            }
+            void sync_all() { flush(); }
+            void main_loop() {
+                if (fsync_on) { sync_all(); }
+            }
+        "#;
+        let has_dep = |a: &SpexAnalysis| {
+            a.param("commit_siblings")
+                .unwrap()
+                .constraints
+                .iter()
+                .any(|c| matches!(c.kind, ConstraintKind::ControlDep(_)))
+        };
+        let mut cache = PassCache::default();
+        assert!(has_dep(&run(&mut cache, GUARDED)));
+
+        let call_removed = GUARDED.replace("{ sync_all(); }", "{ exit(0); }");
+        cache.invalidate(["main_loop"]);
+        let warm = run(&mut cache, &call_removed);
+        assert_eq!(stale(&warm), [("fsync", false), ("commit_siblings", false)]);
+        assert!(!has_dep(&warm), "the inherited guard left with the call");
+        assert_eq!(warm.passes.taint_runs, 1, "only fsync's slice changed");
+        assert_eq!(warm.passes.taint_cache_hits, 1);
+        assert_eq!(warm.passes.basic_type, 2);
+
+        // The same edit from scratch agrees.
+        let fresh = run(&mut PassCache::default(), &call_removed);
+        let constraints = |a: &SpexAnalysis| {
+            let all: Vec<String> = a.all_constraints().map(|c| format!("{c:?}")).collect();
+            all
+        };
+        assert_eq!(constraints(&warm), constraints(&fresh));
+    }
+
+    /// The reverse edit: `main_loop` starts calling `sync_all`, so `flush`
+    /// inherits the `fsync` guard. The slice still hits the cache (the
+    /// new call reaches `flush` only through `sync_all`); the closure over
+    /// the *current* call edges re-infers it.
+    #[test]
+    fn added_call_edge_reinfers_the_callee_that_gains_a_guard() {
+        const UNGUARDED: &str = r#"
+            int fsync_on = 1;
+            int commit_siblings = 5;
+            struct opt { char* name; int* var; };
+            struct opt options[] = {
+                { "fsync", &fsync_on }, { "commit_siblings", &commit_siblings }
+            };
+            void flush() {
+                if (commit_siblings > 0) { sleep(commit_siblings); }
+            }
+            void sync_all() { flush(); }
+            void main_loop() {
+                if (fsync_on) { exit(0); }
+            }
+        "#;
+        let mut cache = PassCache::default();
+        run(&mut cache, UNGUARDED);
+        let call_added = UNGUARDED.replace("{ exit(0); }", "{ sync_all(); }");
+        cache.invalidate(["main_loop"]);
+        let warm = run(&mut cache, &call_added);
+        assert_eq!(stale(&warm), [("fsync", false), ("commit_siblings", false)]);
+        assert_eq!(warm.passes.taint_cache_hits, 1);
+        let fresh = run(&mut PassCache::default(), &call_added);
+        let dep = |a: &SpexAnalysis| {
+            let deps: Vec<String> = a
+                .all_constraints()
+                .filter(|c| matches!(c.kind, ConstraintKind::ControlDep(_)))
+                .map(|c| format!("{c:?}"))
+                .collect();
+            deps
+        };
+        assert_eq!(dep(&warm).len(), 1, "flush now inherits the guard");
+        assert_eq!(dep(&warm), dep(&fresh));
+    }
+
+    /// A helper inserted ahead of every function shifts all function ids:
+    /// the warm cache cannot be reused, so the run is cold and re-infers
+    /// every parameter however small the recorded edit.
+    #[test]
+    fn id_unstable_insert_runs_cold() {
+        let mut cache = PassCache::default();
+        run(&mut cache, TWO_FNS);
+        let inserted = TWO_FNS.replace(
+            "void startup()",
+            "int helper(int v) { return v; }\n        void startup()",
+        );
+        cache.invalidate(["helper"]);
+        let warm = run(&mut cache, &inserted);
+        assert_eq!(stale(&warm), [("threads", false), ("nap", false)]);
+        assert_eq!(
+            warm.passes,
+            PassCounts {
+                basic_type: 2,
+                semantic_type: 2,
+                range: 2,
+                control_dep: 1,
+                value_rel: 1,
+                mapping_extractions: 1,
+                taint_runs: 2,
+                summary_runs: 3,
+                ..PassCounts::default()
+            }
+        );
+
+        // Appended instead, the same helper keeps the ids: everything is
+        // reused and nothing is re-inferred.
+        let mut cache = PassCache::default();
+        run(&mut cache, TWO_FNS);
+        cache.invalidate(["helper"]);
+        let appended = run(
+            &mut cache,
+            &format!("{TWO_FNS}\nint helper(int v) {{ return v; }}\n"),
+        );
+        assert_eq!(stale(&appended), [("threads", true), ("nap", true)]);
+        assert_eq!(appended.passes.taint_cache_hits, 2);
+        assert_eq!(appended.passes.total(), 0);
     }
 }

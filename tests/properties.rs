@@ -352,6 +352,21 @@ impl DbModel {
         self.0[i].provenance.push(module.to_string());
     }
 
+    /// Inserts `module`'s constraints ahead of the first constraint
+    /// credited to a module that sorts after it.
+    fn insert_in_module_order(&mut self, i: usize, fresh: Vec<Constraint>, module: &str) {
+        let e = &mut self.0[i];
+        let at = e
+            .provenance
+            .iter()
+            .position(|m| m.as_str() > module)
+            .unwrap_or(e.provenance.len());
+        for (k, c) in fresh.into_iter().enumerate() {
+            e.constraints.insert(at + k, c);
+            e.provenance.insert(at + k, module.to_string());
+        }
+    }
+
     fn remove_source(&mut self, module: &str, param: &str) -> usize {
         let Some(e) = self.0.iter_mut().find(|p| p.name == param) else {
             return 0;
@@ -447,7 +462,7 @@ impl DbModel {
     }
 
     /// The did-you-mean answer by linear scan: minimum distance within
-    /// 3, ties to the first position, over lowered names when `ci`.
+    /// 3, ties to the smallest name, over lowered names when `ci`.
     fn suggest(&self, key: &str, ci: bool) -> Option<String> {
         let fold = |s: &str| {
             if ci {
@@ -459,7 +474,7 @@ impl DbModel {
         let mut best: Option<(usize, &str)> = None;
         for p in &self.0 {
             let d = edit_distance(&fold(key), &fold(&p.name));
-            if d <= 3 && best.is_none_or(|(b, _)| d < b) {
+            if d <= 3 && best.is_none_or(|b| (d, p.name.as_str()) < b) {
                 best = Some((d, &p.name));
             }
         }
@@ -577,8 +592,9 @@ fn proposed_rename(session: &CheckSession, key: &str) -> Option<Option<String>> 
     })
 }
 
-/// A session's wrong-case twin and did-you-mean answers match the
-/// model's first-position scans, in both case modes.
+/// A session's wrong-case twin (first position) and did-you-mean
+/// (smallest name among the closest) answers match the model's scans, in
+/// both case modes.
 fn assert_session_agrees(g: &mut Gen, db: &ConstraintDb, model: &DbModel, ctx: &str) {
     let mut keys = Vec::new();
     if !model.0.is_empty() {
@@ -616,8 +632,8 @@ fn assert_session_agrees(g: &mut Gen, db: &ConstraintDb, model: &DbModel, ctx: &
 
 /// Seeded op sequences on `ConstraintDb` and on the linear model agree
 /// after every op — entries, lookups, per-module ownership and saved
-/// bytes — and removals of earlier entries leave session lookups tied to
-/// the first db position.
+/// bytes — and removals of earlier entries leave the session's case-twin
+/// lookup tied to the first db position.
 #[test]
 fn constraint_db_matches_linear_reference_model() {
     for seed in 0..40u64 {
@@ -646,9 +662,7 @@ fn constraint_db_matches_linear_reference_model() {
                     let got = db.replace_source_param(module, name, fresh.clone());
                     let removed = model.remove_source(module, name);
                     let i = model.note(name);
-                    for c in fresh {
-                        model.push(i, c, module);
-                    }
+                    model.insert_in_module_order(i, fresh, module);
                     assert_eq!(got, (removed, n), "{ctx}: replace counts");
                 }
                 5 => {

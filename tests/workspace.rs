@@ -826,11 +826,11 @@ fn merge_db_is_visible_to_the_next_check() {
 }
 
 /// The multi-module ordering guarantee: an incrementally updated
-/// workspace and a from-scratch one can hold the same constraints in
-/// different in-memory orders (re-inferred constraints are appended at
-/// the end of an entry), but their canonical serializations are
-/// byte-identical — so fleet distribution and content-addressed caching
-/// see one artifact.
+/// workspace and a from-scratch one hold a shared entry's constraints in
+/// the same in-memory order (re-inferred constraints are inserted in
+/// module-name order, not appended), so checks report them in the same
+/// order, and their canonical serializations are byte-identical — so
+/// fleet distribution and content-addressed caching see one artifact.
 #[test]
 fn incremental_multi_module_db_serializes_byte_identical_to_fresh() {
     let build = |main: &str| {
@@ -842,8 +842,8 @@ fn incremental_multi_module_db_serializes_byte_identical_to_fresh() {
     };
 
     // Incremental history: analyze, then edit main.c (the module the
-    // from-scratch order lists *first*). Its re-inferred constraints are
-    // appended at the end of the shared `threads` entry, after net.c's.
+    // from-scratch order lists *first*). Its re-inferred constraints go
+    // back ahead of net.c's in the shared `threads` entry.
     let mut incremental = build(BASE);
     incremental.update_module("main.c", MAIN_V2).unwrap();
     let r = incremental.reanalyze();
@@ -853,11 +853,13 @@ fn incremental_multi_module_db_serializes_byte_identical_to_fresh() {
     let fresh = build(MAIN_V2);
 
     let entry_order = |ws: &Workspace| ws.db().param("threads").unwrap().provenance.clone();
-    assert_ne!(
+    assert_eq!(
         entry_order(&incremental),
-        entry_order(&fresh),
-        "the histories really interleave the entry differently in memory"
+        ["main.c", "main.c", "net.c", "net.c"],
+        "the edited module's constraints keep their place in the entry"
     );
+    assert_eq!(entry_order(&incremental), entry_order(&fresh));
+    assert_eq!(incremental.db(), fresh.db());
     let a = incremental.db().save_to_string();
     let b = fresh.db().save_to_string();
     assert_eq!(a, b, "canonical save order is history-independent");
